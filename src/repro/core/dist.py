@@ -129,7 +129,7 @@ class DistDetector(MergeableSketch):
         source = as_source(seed, "dist")
         self._router = KWiseHash(self.pieces, 2, source.child("router"))
         self._signs = SignHash(4, source.child("signs"))
-        self._counters = np.zeros(self.pieces, dtype=np.int64)
+        self._fresh_state()
         # Modular view: multiples of the modulus vanish, so what separates
         # the two cases is the coefficient mass needed to explain each
         # piece's residue.  ``q_mod`` is the minimal mass expressing the
@@ -149,6 +149,9 @@ class DistDetector(MergeableSketch):
             n=self.n,
             pieces=self.pieces,
         )
+
+    def _fresh_state(self) -> None:
+        self._counters = np.zeros(self.pieces, dtype=np.int64)
 
     @classmethod
     def recommended_pieces(

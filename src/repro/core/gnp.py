@@ -26,6 +26,7 @@ without an O(n) candidate sweep (substitution documented in DESIGN.md).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Sequence
@@ -67,12 +68,15 @@ class _Substream:
         self._bernoulli = [
             BernoulliHash(seed.child(f"trial{t}")) for t in range(trials)
         ]
-        self.trial_counters = [0] * trials
-        self.bit_counters = [0] * n_bits
+        self._trial_bank: tuple[np.ndarray, np.ndarray] | None = None
+        self._fresh_state()
+
+    def _fresh_state(self) -> None:
+        self.trial_counters = [0] * self.trials
+        self.bit_counters = [0] * self.n_bits
         self.total = 0
         self.weight = 0  # number of updates routed here (diagnostics)
         self._membership_cache: dict[int, tuple[int, ...]] = {}
-        self._trial_bank: tuple[np.ndarray, np.ndarray] | None = None
 
     def _trial_coeffs(self) -> tuple[np.ndarray, np.ndarray]:
         """The D pairwise trial polynomials stacked as coefficient arrays,
@@ -252,6 +256,12 @@ class GnpHeavyHitterSketch(MergeableSketch):
             substreams=c,
             trials=d,
         )
+
+    def _fresh_state(self) -> None:
+        # Substreams share their (immutable) trial hashes with the source.
+        self._substreams = [copy.copy(sub) for sub in self._substreams]
+        for sub in self._substreams:
+            sub._fresh_state()
 
     def update(self, item: int, delta: int) -> None:
         self._substreams[self._router(item)].update(item, delta)

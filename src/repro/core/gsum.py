@@ -26,9 +26,8 @@ from repro.core.ingest_plan import (
     fused_update_batch,
     fused_update_batch_second_pass,
 )
-from repro.core.recursive_sketch import RecursiveGSumSketch
+from repro.core.recursive_sketch import RecursiveGSumSketch, RecursiveRepetitions
 from repro.functions.base import GFunction
-from repro.sketch.base import MergeableSketch
 from repro.streams.batching import DEFAULT_CHUNK, drive, drive_second_pass
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.util.rng import RandomSource, as_source
@@ -53,7 +52,7 @@ class GSumResult:
         return abs(self.estimate - self.exact) / abs(self.exact)
 
 
-class GSumEstimator(MergeableSketch):
+class GSumEstimator(RecursiveRepetitions):
     """(g, eps)-SUM over turnstile streams, 1-pass or 2-pass.
 
     Parameters
@@ -236,10 +235,6 @@ class GSumEstimator(MergeableSketch):
 
     # ----------------------------------------------------------- streaming
 
-    def update(self, item: int, delta: int) -> None:
-        for sketch in self._sketches:
-            sketch.update(item, delta)
-
     def update_batch(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
     ) -> None:
@@ -251,13 +246,6 @@ class GSumEstimator(MergeableSketch):
             return
         for sketch in self._sketches:
             sketch.update_batch(items, deltas)
-
-    def _invalidate_ingest_plans(self) -> None:
-        """Drop both cached plans: the structure is about to change (or
-        just changed) under them — state loads replace sketch objects,
-        merges mutate pools, pass transitions swap the write target."""
-        self._ingest_plan = None
-        self._second_plan = None
 
     def _process_by_repetition(
         self,
@@ -398,10 +386,6 @@ class GSumEstimator(MergeableSketch):
             per_rep[r] = sketch.frequency_batch(arr)
         return np.median(per_rep, axis=0)
 
-    @property
-    def space_counters(self) -> int:
-        return sum(s.space_counters for s in self._sketches)
-
     # ------------------------------------------------- mergeable protocol
 
     def __reduce__(self):
@@ -425,39 +409,6 @@ class GSumEstimator(MergeableSketch):
                 self.to_state(),
             ),
         )
-
-    def _extra_compat(self) -> tuple:
-        return tuple(s.compat_digest() for s in self._sketches)
-
-    def spawn_sibling(self) -> "GSumEstimator":
-        """Sibling estimator with identical randomness; repetitions are
-        spawned individually so two-pass phase carries over."""
-        sibling = super().spawn_sibling()
-        sibling._sketches = [s.spawn_sibling() for s in self._sketches]
-        sibling._invalidate_ingest_plans()
-        return sibling
-
-    def merge(self, other: "GSumEstimator") -> "GSumEstimator":
-        """Merge repetition by repetition; the merged estimator is
-        bit-identical to one that ingested both streams itself."""
-        self.require_sibling(other)
-        self._invalidate_ingest_plans()
-        for mine, theirs in zip(self._sketches, other._sketches):
-            mine.merge(theirs)
-        return self
-
-    def _state_payload(self) -> dict:
-        return {"reps": [s.to_state() for s in self._sketches]}
-
-    def _load_state_payload(self, payload: dict) -> None:
-        states = payload["reps"]
-        if len(states) != len(self._sketches):
-            raise ValueError("state repetition count mismatch")
-        self._sketches = [
-            sketch.from_state(state)
-            for sketch, state in zip(self._sketches, states)
-        ]
-        self._invalidate_ingest_plans()
 
     # --------------------------------------------------------- convenience
 
@@ -501,12 +452,7 @@ def _rebuild_estimator(cls, config, lineage, shard_opts, state):
         shard_axis=shard_axis,
         fused=fused,
     )
-    if state.get("compat") != estimator.compat_digest():
-        raise ValueError(
-            "pickled estimator state does not match its rebuilt "
-            "configuration or randomness lineage"
-        )
-    estimator._load_state_payload(state["payload"])
+    estimator._load_state(state)
     return estimator
 
 

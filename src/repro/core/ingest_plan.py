@@ -43,12 +43,15 @@ and all codecs.
 live sketch objects and the plane their tables view.  Any operation that
 replaces objects or rebinds tables (``from_state`` payload loads, codec
 round-trips, ``spawn_sibling``, ``begin_second_pass`` /
-``import_candidates``) makes it stale.  Estimators drop their plans via
-``_invalidate_ingest_plans()`` on every such operation, and — belt and
-braces — :meth:`IngestPlan.is_valid` re-walks the object identities and
-``table.base`` linkage every chunk, so even an unanticipated mutation
-falls back to a rebuild (or to the legacy path) instead of corrupting
-state.  Structures the plan cannot fuse (exact-oracle levels, a closed
+``import_candidates``) makes it stale.  Hash families are never among
+them: siblings share family objects by reference (the lineage is used
+only to construct them from a seed and to unpickle), so a spawned or
+loaded sibling's rebuilt plan stacks the same polynomials.  Estimators
+drop their plans via ``_invalidate_ingest_plans()`` on every such
+operation, and — belt and braces — :meth:`IngestPlan.is_valid` re-walks
+the object identities and ``table.base`` linkage every chunk, so even an
+unanticipated mutation falls back to a rebuild (or to the legacy path)
+instead of corrupting state.  Structures the plan cannot fuse (exact-oracle levels, a closed
 first pass) yield the :data:`UNFUSIBLE` sentinel and the estimator keeps
 its legacy loop, error surfaces included.
 """

@@ -35,6 +35,9 @@ from repro.streams.batching import as_batch, drive, drive_second_pass
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.util.rng import RandomSource, as_source
 
+#: Bound on the per-instance item -> depth memo of the scalar update path.
+DEPTH_MEMO_LIMIT = 1 << 22
+
 
 class RecursiveGSumSketch(MergeableSketch):
     """Layered g-SUM estimator over any heavy-hitter level sketch.
@@ -70,6 +73,7 @@ class RecursiveGSumSketch(MergeableSketch):
         self._sketches: List[GHeavyHitterSketch] = [
             level_factory(j, source.child(f"level{j}")) for j in range(self.levels + 1)
         ]
+        self._depths: dict[int, int] = {}
         self._register_mergeable(
             source,
             g=g,
@@ -80,8 +84,18 @@ class RecursiveGSumSketch(MergeableSketch):
 
     # ----------------------------------------------------------- streaming
 
+    def _depth(self, item: int) -> int:
+        """Deepest level ``item`` reaches, memoized per instance: the
+        subsample hash is shared with every sibling and holds no memo."""
+        depth = self._depths.get(item)
+        if depth is None:
+            depth = min(self._subsample.level(item), self.levels)
+            if len(self._depths) < DEPTH_MEMO_LIMIT:
+                self._depths[item] = depth
+        return depth
+
     def update(self, item: int, delta: int) -> None:
-        depth = min(self._subsample.level(item), self.levels)
+        depth = self._depth(item)
         for j in range(depth + 1):
             self._sketches[j].update(item, delta)
 
@@ -124,7 +138,8 @@ class RecursiveGSumSketch(MergeableSketch):
         from the subsample hash's stacked bit polynomials and each level
         sketch contributes one plane cell.  The returned list is the live
         one; the plan snapshots the object identities to detect structural
-        changes (state loads replace the level sketches wholesale)."""
+        changes (spawns replace the level sketches, state loads rebind
+        their tables)."""
         return self._subsample, self._sketches
 
     def process(
@@ -168,7 +183,7 @@ class RecursiveGSumSketch(MergeableSketch):
                 importer(candidates)
 
     def update_second_pass(self, item: int, delta: int) -> None:
-        depth = min(self._subsample.level(item), self.levels)
+        depth = self._depth(item)
         for j in range(depth + 1):
             self._sketches[j].update_second_pass(item, delta)  # type: ignore[attr-defined]
 
@@ -245,14 +260,13 @@ class RecursiveGSumSketch(MergeableSketch):
             sketch.compat_digest() for sketch in self._require_mergeable_levels()
         )
 
-    def spawn_sibling(self) -> "RecursiveGSumSketch":
-        """Sibling with identical subsampling and per-level sketches; level
-        sketches are spawned individually so phase (e.g. an open second
-        pass) carries over."""
-        levels = self._require_mergeable_levels()
-        sibling = super().spawn_sibling()
-        sibling._sketches = [sketch.spawn_sibling() for sketch in levels]
-        return sibling
+    def _fresh_state(self) -> None:
+        """The subsampling hash is shared; level sketches are spawned
+        individually so phase (e.g. an open second pass) carries over."""
+        self._sketches = [
+            sketch.spawn_sibling() for sketch in self._require_mergeable_levels()
+        ]
+        self._depths = {}
 
     def merge(self, other: "RecursiveGSumSketch") -> "RecursiveGSumSketch":
         """Merge level by level (the subsampling hash is identical for
@@ -272,9 +286,64 @@ class RecursiveGSumSketch(MergeableSketch):
         levels = self._require_mergeable_levels()
         if len(states) != len(levels):
             raise ValueError("state level count mismatch")
-        self._sketches = [
-            sketch.from_state(state) for sketch, state in zip(levels, states)
-        ]
+        for sketch, state in zip(levels, states):
+            sketch._load_state(state)
+
+
+class RecursiveRepetitions(MergeableSketch):
+    """Independent :class:`RecursiveGSumSketch` repetitions in
+    ``_sketches``: the protocol shared by
+    :class:`~repro.core.gsum.GSumEstimator` and the universal sketches.
+    Updates fan out to every repetition; spawn, merge, and state loads go
+    repetition by repetition.  Subclasses own the fused-ingestion plans
+    ``_ingest_plan`` and ``_second_plan``."""
+
+    _sketches: List[RecursiveGSumSketch]
+
+    def update(self, item: int, delta: int) -> None:
+        for sketch in self._sketches:
+            sketch.update(item, delta)
+
+    def _invalidate_ingest_plans(self) -> None:
+        """Drop both cached plans: the structure is about to change (or
+        just changed) under them — spawns replace sketch objects, state
+        loads rebind tables, merges mutate pools, pass transitions swap
+        the write target."""
+        self._ingest_plan = None
+        self._second_plan = None
+
+    @property
+    def space_counters(self) -> int:
+        return sum(s.space_counters for s in self._sketches)
+
+    # ------------------------------------------------- mergeable protocol
+
+    def _extra_compat(self) -> tuple:
+        return tuple(s.compat_digest() for s in self._sketches)
+
+    def _fresh_state(self) -> None:
+        """Repetitions are spawned individually so two-pass phase carries
+        over."""
+        self._sketches = [s.spawn_sibling() for s in self._sketches]
+
+    def merge(self, other: "RecursiveRepetitions") -> "RecursiveRepetitions":
+        """Merge repetition by repetition; the result is bit-identical to
+        one sketch that ingested both streams itself."""
+        self.require_sibling(other)
+        self._invalidate_ingest_plans()
+        for mine, theirs in zip(self._sketches, other._sketches):
+            mine.merge(theirs)
+        return self
+
+    def _state_payload(self) -> dict:
+        return {"reps": [s.to_state() for s in self._sketches]}
+
+    def _load_state_payload(self, payload: dict) -> None:
+        states = payload["reps"]
+        if len(states) != len(self._sketches):
+            raise ValueError("state repetition count mismatch")
+        for sketch, state in zip(self._sketches, states):
+            sketch._load_state(state)
 
 
 class NaiveTopKGSum(MergeableSketch):
@@ -325,8 +394,8 @@ class NaiveTopKGSum(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self._inner().compat_digest(),)
 
-    def spawn_sibling(self) -> "NaiveTopKGSum":
-        return NaiveTopKGSum(self.g, self._inner().spawn_sibling())
+    def _fresh_state(self) -> None:
+        self._sketch = self._inner().spawn_sibling()
 
     def merge(self, other: "NaiveTopKGSum") -> "NaiveTopKGSum":
         self.require_sibling(other)
@@ -337,7 +406,7 @@ class NaiveTopKGSum(MergeableSketch):
         return {"sketch": self._inner().to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self._sketch = self._inner().from_state(payload["sketch"])
+        self._inner()._load_state(payload["sketch"])
 
 
 def two_pass_run(

@@ -32,13 +32,17 @@ from repro.core.ingest_plan import (
     fused_update_batch,
     fused_update_batch_second_pass,
 )
-from repro.core.recursive_sketch import RecursiveGSumSketch
+from repro.core.recursive_sketch import RecursiveGSumSketch, RecursiveRepetitions
 from repro.functions.base import GFunction
 from repro.functions.library import indicator, moment
 from repro.sketch.base import MergeableSketch
 from repro.streams.batching import drive, drive_second_pass
 from repro.streams.model import StreamUpdate, TurnstileStream
 from repro.util.rng import RandomSource, as_source
+
+
+#: The g handed to the level sketches: never evaluated while streaming.
+_PLACEHOLDER = moment(2.0)
 
 
 @dataclass(frozen=True)
@@ -87,8 +91,8 @@ class _FrequencyLevel(MergeableSketch):
     def _extra_compat(self) -> tuple:
         return (self.inner.compat_digest(),)
 
-    def spawn_sibling(self) -> "_FrequencyLevel":
-        return _FrequencyLevel(self.inner.spawn_sibling())
+    def _fresh_state(self) -> None:
+        self.inner = self.inner.spawn_sibling()
 
     def merge(self, other: "_FrequencyLevel") -> "_FrequencyLevel":
         self.require_sibling(other)
@@ -99,10 +103,10 @@ class _FrequencyLevel(MergeableSketch):
         return {"inner": self.inner.to_state()}
 
     def _load_state_payload(self, payload: dict) -> None:
-        self.inner = self.inner.from_state(payload["inner"])
+        self.inner._load_state(payload["inner"])
 
 
-class UniversalGSumSketch(MergeableSketch):
+class UniversalGSumSketch(RecursiveRepetitions):
     """One-pass, g-oblivious sketch supporting post-hoc g-SUM queries.
 
     Parameters mirror :class:`repro.core.gsum.GSumEstimator`; the g passed
@@ -124,38 +128,22 @@ class UniversalGSumSketch(MergeableSketch):
         cs_pool: int | None = None,
         fused: bool = True,
     ):
-        source = as_source(seed, "universal")
-        self.n = int(n)
-        self.epsilon = float(epsilon)
-        self.repetitions = int(repetitions)
-        self.fused = bool(fused)
-        self._ingest_plan = None
-        self._second_plan = None
-        placeholder = moment(2.0)
-
         def factory(level: int, rng: RandomSource):
             return _FrequencyLevel(
                 OnePassGHeavyHitter(
-                    placeholder, heaviness, epsilon, 0.1, n,
+                    _PLACEHOLDER, heaviness, epsilon, 0.1, n,
                     h_witness=h_witness, magnitude_bound=magnitude_bound,
                     prune=False, seed=rng, cs_max_buckets=cs_max_buckets,
                     cs_pool=cs_pool,
                 )
             )
 
-        self._sketches: List[RecursiveGSumSketch] = [
-            RecursiveGSumSketch(
-                placeholder, self.n, factory, levels=levels,
-                seed=source.child(f"rep{r}"),
-            )
-            for r in range(self.repetitions)
-        ]
-        self._register_mergeable(
-            source,
-            n=self.n,
-            epsilon=self.epsilon,
+        self._assemble(
+            as_source(seed, "universal"), factory, fused,
+            n=int(n),
+            epsilon=float(epsilon),
             heaviness=float(heaviness),
-            repetitions=self.repetitions,
+            repetitions=int(repetitions),
             levels=levels,
             h_witness=h_witness,
             magnitude_bound=int(magnitude_bound),
@@ -163,11 +151,25 @@ class UniversalGSumSketch(MergeableSketch):
             cs_pool=cs_pool,
         )
 
-    # ----------------------------------------------------------- streaming
+    def _assemble(self, source: RandomSource, factory, fused: bool, **config) -> None:
+        """Build the repetitions' recursive sketches over ``factory`` levels
+        and register ``config`` (shared by both universal variants)."""
+        self.n = config["n"]
+        self.epsilon = config["epsilon"]
+        self.repetitions = config["repetitions"]
+        self.fused = bool(fused)
+        self._ingest_plan = None
+        self._second_plan = None
+        self._sketches: List[RecursiveGSumSketch] = [
+            RecursiveGSumSketch(
+                _PLACEHOLDER, self.n, factory, levels=config["levels"],
+                seed=source.child(f"rep{r}"),
+            )
+            for r in range(self.repetitions)
+        ]
+        self._register_mergeable(source, **config)
 
-    def update(self, item: int, delta: int) -> None:
-        for sketch in self._sketches:
-            sketch.update(item, delta)
+    # ----------------------------------------------------------- streaming
 
     def update_batch(
         self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
@@ -180,10 +182,6 @@ class UniversalGSumSketch(MergeableSketch):
             return
         for sketch in self._sketches:
             sketch.update_batch(items, deltas)
-
-    def _invalidate_ingest_plans(self) -> None:
-        self._ingest_plan = None
-        self._second_plan = None
 
     def process(
         self, stream: TurnstileStream | Iterable[StreamUpdate]
@@ -293,60 +291,13 @@ class UniversalGSumSketch(MergeableSketch):
         )
         return self.estimate(g)
 
-    @property
-    def space_counters(self) -> int:
-        return sum(s.space_counters for s in self._sketches)
 
-    # ------------------------------------------------- mergeable protocol
-
-    def _extra_compat(self) -> tuple:
-        return tuple(s.compat_digest() for s in self._sketches)
-
-    def spawn_sibling(self) -> "UniversalGSumSketch":
-        sibling = super().spawn_sibling()
-        sibling._sketches = [s.spawn_sibling() for s in self._sketches]
-        sibling._invalidate_ingest_plans()
-        return sibling
-
-    def merge(self, other: "UniversalGSumSketch") -> "UniversalGSumSketch":
-        """Merge repetition by repetition."""
-        self.require_sibling(other)
-        self._invalidate_ingest_plans()
-        for mine, theirs in zip(self._sketches, other._sketches):
-            mine.merge(theirs)
-        return self
-
-    def _state_payload(self) -> dict:
-        return {"reps": [s.to_state() for s in self._sketches]}
-
-    def _load_state_payload(self, payload: dict) -> None:
-        states = payload["reps"]
-        if len(states) != len(self._sketches):
-            raise ValueError("state repetition count mismatch")
-        self._sketches = [
-            sketch.from_state(state)
-            for sketch, state in zip(self._sketches, states)
-        ]
-        self._invalidate_ingest_plans()
-
-
-class _TwoPassFrequencyLevel(MergeableSketch):
+class _TwoPassFrequencyLevel(_FrequencyLevel):
     """Two-pass level: CountSketch candidates in pass one, exact
     frequencies in pass two.  Post-hoc weights are then exact for *any* g
     — the universal sketch inherits Theorem 3's indifference to
-    predictability."""
-
-    def __init__(self, inner: TwoPassGHeavyHitter):
-        self.inner = inner
-        self._register_mergeable(None)
-
-    def update(self, item: int, delta: int) -> None:
-        self.inner.update(item, delta)
-
-    def update_batch(
-        self, items: "np.ndarray | Sequence[int]", deltas: "np.ndarray | Sequence[int]"
-    ) -> None:
-        self.inner.update_batch(items, deltas)
+    predictability.  The mergeable protocol is the one-pass level's: both
+    delegate to ``inner``."""
 
     def begin_second_pass(self) -> None:
         self.inner.begin_second_pass()
@@ -367,29 +318,6 @@ class _TwoPassFrequencyLevel(MergeableSketch):
             for item, freq in self.inner._second.frequency_vector().items()  # type: ignore[union-attr]
             if freq != 0
         )
-
-    @property
-    def space_counters(self) -> int:
-        return self.inner.space_counters
-
-    # ------------------------------------------------- mergeable protocol
-
-    def _extra_compat(self) -> tuple:
-        return (self.inner.compat_digest(),)
-
-    def spawn_sibling(self) -> "_TwoPassFrequencyLevel":
-        return _TwoPassFrequencyLevel(self.inner.spawn_sibling())
-
-    def merge(self, other: "_TwoPassFrequencyLevel") -> "_TwoPassFrequencyLevel":
-        self.require_sibling(other)
-        self.inner.merge(other.inner)
-        return self
-
-    def _state_payload(self) -> dict:
-        return {"inner": self.inner.to_state()}
-
-    def _load_state_payload(self, payload: dict) -> None:
-        self.inner = self.inner.from_state(payload["inner"])
 
 
 class TwoPassUniversalSketch(UniversalGSumSketch):
@@ -412,37 +340,21 @@ class TwoPassUniversalSketch(UniversalGSumSketch):
         cs_pool: int | None = None,
         fused: bool = True,
     ):
-        source = as_source(seed, "universal2")
-        self.n = int(n)
-        self.epsilon = float(epsilon)
-        self.repetitions = int(repetitions)
-        self.fused = bool(fused)
-        self._ingest_plan = None
-        self._second_plan = None
-        placeholder = moment(2.0)
-
         def factory(level: int, rng: RandomSource):
             return _TwoPassFrequencyLevel(
                 TwoPassGHeavyHitter(
-                    placeholder, heaviness, 0.1, n,
+                    _PLACEHOLDER, heaviness, 0.1, n,
                     h_witness=h_witness, magnitude_bound=magnitude_bound,
                     seed=rng, cs_max_buckets=cs_max_buckets, cs_pool=cs_pool,
                 )
             )
 
-        self._sketches = [
-            RecursiveGSumSketch(
-                placeholder, self.n, factory, levels=levels,
-                seed=source.child(f"rep{r}"),
-            )
-            for r in range(self.repetitions)
-        ]
-        self._register_mergeable(
-            source,
-            n=self.n,
-            epsilon=self.epsilon,
+        self._assemble(
+            as_source(seed, "universal2"), factory, fused,
+            n=int(n),
+            epsilon=float(epsilon),
             heaviness=float(heaviness),
-            repetitions=self.repetitions,
+            repetitions=int(repetitions),
             levels=levels,
             h_witness=h_witness,
             magnitude_bound=int(magnitude_bound),

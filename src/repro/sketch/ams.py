@@ -37,12 +37,15 @@ class AmsF2Sketch(MergeableSketch):
         self.means_size = int(means_size)
         count = self.medians * self.means_size
         self._signs = VectorKWiseHash(count, 4, source.child("signs"))
-        self._registers = np.zeros(count, dtype=np.float64)
-        # Per-item sign-vector memo (repeat items skip the hash entirely).
-        self._sign_cache: dict[int, np.ndarray] = {}
+        self._fresh_state()
         self._register_mergeable(
             source, medians=self.medians, means_size=self.means_size
         )
+
+    def _fresh_state(self) -> None:
+        self._registers = np.zeros(self._signs.count, dtype=np.float64)
+        # Per-item sign-vector memo (repeat items skip the hash entirely).
+        self._sign_cache: dict[int, np.ndarray] = {}
 
     def _sign_vector(self, item: int) -> np.ndarray:
         cached = self._sign_cache.get(item)
@@ -74,9 +77,9 @@ class AmsF2Sketch(MergeableSketch):
     @property
     def sign_bank(self) -> "VectorKWiseHash":
         """The register sign-hash bank.  Hash families are immutable once
-        constructed, so the fused ingest plan evaluates this bank directly
-        and memoizes per-item sign rows across chunks; state loads replace
-        registers but never the bank."""
+        constructed (siblings share it by reference), so the fused ingest
+        plan evaluates this bank directly and memoizes per-item sign rows
+        across chunks; state loads replace registers but never the bank."""
         return self._signs
 
     def apply_net(self, net: np.ndarray, signs: np.ndarray) -> None:

@@ -9,26 +9,33 @@ sketches, the Recursive Sketch, the universal sketches, and the top-level
 :class:`~repro.core.gsum.GSumEstimator`:
 
 ``spawn_sibling()``
-    A fresh, empty sketch with identical configuration *and identical hash
-    functions*.  The labeled :class:`~repro.util.rng.RandomSource` guarantees
-    same ``(seed, label)`` lineage -> same polynomials, so siblings are
-    merge-compatible by construction.  Siblings also clone *phase*: spawning
+    A fresh, empty sketch with identical configuration that holds the
+    *same* hash-family objects, shared by reference: families are
+    immutable once constructed, so siblings are merge-compatible by
+    construction and spawning draws no randomness.  Only the mutable state
+    (tables, registers, pools, per-instance memos, and sub-sketches, which
+    are spawned in turn) is fresh.  Siblings also clone *phase*: spawning
     from a two-pass sketch that has begun its second pass yields a sibling
-    in its second pass, restricted to the same candidates.
+    in its second pass, restricted to the same candidates.  The
+    ``(seed, label)`` lineage of :class:`~repro.util.rng.RandomSource` is
+    used only to construct families from a seed and to rebuild them when
+    an estimator is unpickled.
 
 ``merge(other)``
     Fold a sibling's state into ``self`` (tables add, registers add, counts
     add, candidate pools union).  Raises ``ValueError`` unless the two
     sketches share a :meth:`~MergeableSketch.compat_digest` — configuration,
     randomness lineage, and (for the raw sketches) the hash-function
-    fingerprints themselves.
+    fingerprints themselves.  That material is fixed at construction, so
+    each instance computes its digest once and siblings inherit it.
 
 ``to_state()`` / ``from_state(state)``
     Round-trip serialization of the *mutable* state (never the hash
-    functions — those are reproducible from the lineage).  The state dict is
-    JSON-serializable, so shard workers in other processes or on other
+    functions — the receiving sibling already holds them).  The state dict
+    is JSON-serializable, so shard workers in other processes or on other
     machines can ship states back to a coordinator holding a sibling.
-    ``sketch.from_state(sketch.to_state())`` reconstructs an equal sketch.
+    ``sketch.from_state(sketch.to_state())`` reconstructs an equal sketch:
+    one spawned sibling tree, every node loaded in place.
 
 The invariance contract (enforced by ``tests/test_mergeable.py``): for any
 stream split into k shard substreams, ingesting each shard into a sibling
@@ -123,9 +130,11 @@ class MergeableSketch(ABC):
     Subclasses call :meth:`_register_mergeable` at the end of ``__init__``
     with the resolved :class:`RandomSource` (or ``None`` for deterministic
     structures) and the constructor configuration, then implement
-    :meth:`merge`, :meth:`_state_payload`, and :meth:`_load_state_payload`.
-    The default :meth:`spawn_sibling` re-invokes the constructor with the
-    recorded configuration and the exact randomness lineage.
+    :meth:`merge`, :meth:`_state_payload`, :meth:`_load_state_payload`,
+    and :meth:`_fresh_state`.  :meth:`spawn_sibling` is one path for every
+    class: a shallow clone (hash families, configuration, and the cached
+    compat digest shared by reference) whose mutable state
+    :meth:`_fresh_state` replaces.
     """
 
     _merge_config: Dict[str, Any]
@@ -142,12 +151,23 @@ class MergeableSketch(ABC):
     # ----------------------------------------------------------- protocol
 
     def spawn_sibling(self) -> "MergeableSketch":
-        """A fresh, empty, merge-compatible sketch: same configuration, same
-        hash functions (reconstructed from the randomness lineage)."""
-        config = dict(self._merge_config)
-        if self._merge_lineage is not None:
-            config["seed"] = RandomSource.resolved(*self._merge_lineage)
-        return type(self)(**config)
+        """A fresh, empty, merge-compatible sketch: same configuration, the
+        same hash-family objects, fresh mutable state.  Builds no
+        :class:`RandomSource`."""
+        self.compat_digest()  # computed once here, inherited by the clone
+        sibling = object.__new__(type(self))
+        sibling.__dict__.update(self.__dict__)
+        sibling._fresh_state()
+        sibling._invalidate_ingest_plans()
+        return sibling
+
+    def _fresh_state(self) -> None:
+        """Give this sketch fresh, empty mutable state (tables, registers,
+        pools, per-instance memos) while keeping its hash families.
+        Composites spawn each sub-sketch once.  :meth:`spawn_sibling` calls
+        it on a shallow clone, so any mutable member it does not replace is
+        shared with the source."""
+        raise NotImplementedError(f"{type(self).__name__} cannot spawn siblings")
 
     @abstractmethod
     def merge(self, other: "MergeableSketch") -> "MergeableSketch":
@@ -197,7 +217,12 @@ class MergeableSketch(ABC):
 
     def compat_digest(self) -> str:
         """Digest of everything that must match for two sketches to merge:
-        class, configuration, randomness lineage, and any extra evidence."""
+        class, configuration, randomness lineage, and any extra evidence.
+        The material is fixed at construction, so the digest is computed on
+        first use and cached; spawned siblings inherit the cached value."""
+        digest = self.__dict__.get("_compat")
+        if digest is not None:
+            return digest
         material = {
             "class": type(self).__name__,
             "config": {
@@ -207,7 +232,8 @@ class MergeableSketch(ABC):
             "extra": _config_token(list(self._extra_compat())),
         }
         blob = json.dumps(material, sort_keys=True, default=_digest_reject).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
+        self._compat = hashlib.sha256(blob).hexdigest()[:16]
+        return self._compat
 
     def require_sibling(self, other: "MergeableSketch") -> None:
         """Raise ``ValueError`` unless ``other`` is merge-compatible."""
@@ -251,6 +277,14 @@ class MergeableSketch(ABC):
         :meth:`to_state`, under any codec); ``self`` is left untouched.
         States written before the codec layer carry no ``"codec"`` tag and
         decode as ``dense-json``."""
+        sibling = self.spawn_sibling()
+        sibling._load_state(state)
+        return sibling
+
+    def _load_state(self, state: dict) -> None:
+        """Load a sibling's ``to_state()`` into this sketch in place.
+        Composites load their sub-sketches' states through this too, so
+        :meth:`from_state` builds each node of the tree once."""
         if state.get("format") != STATE_FORMAT:
             raise ValueError("not a repro sketch state")
         if state.get("version") != STATE_VERSION:
@@ -266,10 +300,8 @@ class MergeableSketch(ABC):
                 "state belongs to a sketch with different configuration or "
                 "randomness lineage"
             )
-        sibling = self.spawn_sibling()
-        sibling._load_state_payload(state["payload"])
-        sibling._invalidate_ingest_plans()
-        return sibling
+        self._load_state_payload(state["payload"])
+        self._invalidate_ingest_plans()
 
     def _invalidate_ingest_plans(self) -> None:
         """Drop any cached fused-ingestion plan (see

@@ -29,11 +29,14 @@ class CountMinSketch(MergeableSketch):
         source = as_source(seed, "countmin")
         self.rows = int(rows)
         self.buckets = int(buckets)
-        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
         self._hashes = [
             KWiseHash(self.buckets, 2, source.child(f"h{j}")) for j in range(self.rows)
         ]
+        self._fresh_state()
         self._register_mergeable(source, rows=self.rows, buckets=self.buckets)
+
+    def _fresh_state(self) -> None:
+        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
 
     def update(self, item: int, delta: float) -> None:
         for j in range(self.rows):

@@ -150,7 +150,7 @@ class CountSketch(MergeableSketch):
         # Overflow slack before an evict-by-estimate prune: admissions are
         # O(1) and the vectorized prune is amortized over ``slack`` items.
         self._pool_slack = max(64, self.pool // 4)
-        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
+        self._fresh_state()
         self._bucket_hashes = [
             KWiseHash(self.buckets, 2, source.child(f"bucket{j}"))
             for j in range(self.rows)
@@ -160,6 +160,18 @@ class CountSketch(MergeableSketch):
             for j in range(self.rows)
         ]
         self._pool_hash = KWiseHash(_POOL_SPACE, 2, source.child("pool"))
+        self._register_mergeable(
+            source,
+            rows=self.rows,
+            buckets=self.buckets,
+            track=self.track,
+            sign_independence=int(sign_independence),
+            pool=self.pool,
+            pool_policy=self.pool_policy,
+        )
+
+    def _fresh_state(self) -> None:
+        self._table = np.zeros((self.rows, self.buckets), dtype=np.float64)
         # Per-item memo of (bucket index, sign) pairs: hash evaluation is
         # the Python-level bottleneck and hashes are deterministic per item.
         self._item_cache: Dict[int, List[tuple[int, float]]] = {}
@@ -174,15 +186,6 @@ class CountSketch(MergeableSketch):
         # mutation that can evict (scalar admits, prunes, merges, state
         # loads) drops it, while pure bulk admissions extend it in place.
         self._cand_arr: "np.ndarray | None" = None
-        self._register_mergeable(
-            source,
-            rows=self.rows,
-            buckets=self.buckets,
-            track=self.track,
-            sign_independence=int(sign_independence),
-            pool=self.pool,
-            pool_policy=self.pool_policy,
-        )
 
     # ------------------------------------------------------------------ core
 

@@ -30,12 +30,15 @@ class ExactCounter(MergeableSketch):
             if self._restrict is None
             else np.fromiter(self._restrict, dtype=np.int64, count=len(self._restrict))
         )
-        self._counts: Dict[int, int] = {}
+        self._fresh_state()
         self._register_mergeable(
             None,
             domain_size=self.domain_size,
             restrict_to=None if self._restrict is None else sorted(self._restrict),
         )
+
+    def _fresh_state(self) -> None:
+        self._counts: Dict[int, int] = {}
 
     def update(self, item: int, delta: int) -> None:
         if self._restrict is not None and item not in self._restrict:

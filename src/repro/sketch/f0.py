@@ -47,9 +47,12 @@ class BjkstF0Sketch(MergeableSketch):
         source = as_source(seed, "bjkst")
         self.sample_budget = int(sample_budget)
         self._hash = KWiseHash(_HASH_SPACE, 2, source)
+        self._fresh_state()
+        self._register_mergeable(source, sample_budget=self.sample_budget)
+
+    def _fresh_state(self) -> None:
         self.level = 0
         self._sample: Dict[int, int] = {}  # item -> hash value
-        self._register_mergeable(source, sample_budget=self.sample_budget)
 
     def _threshold(self) -> int:
         return _HASH_SPACE >> self.level
@@ -159,12 +162,15 @@ class TurnstileF0Estimator(MergeableSketch):
             max(f0_upper_bound, 1) / (sample_budget / 2.0)
         ))) if f0_upper_bound > sample_budget / 2 else 0)
         self._hash = KWiseHash(1 << max(self.level, 1), 2, source)
-        self._counts: Dict[int, int] = {}
+        self._fresh_state()
         self._register_mergeable(
             source,
             f0_upper_bound=int(f0_upper_bound),
             sample_budget=int(sample_budget),
         )
+
+    def _fresh_state(self) -> None:
+        self._counts: Dict[int, int] = {}
 
     def _sampled(self, item: int) -> bool:
         if self.level == 0:

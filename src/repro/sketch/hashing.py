@@ -16,8 +16,10 @@ Horner steps multiply inside ``uint64`` without overflow and the batched
 arithmetic is *exactly* the scalar arithmetic — batch and scalar paths
 agree bit for bit on every item.
 
-Mergeable-sketch support: hash families are immutable once constructed, so
-their part of the protocol is identity, not state — each family exposes a
+Mergeable-sketch support: hash families are immutable once constructed
+and hold no memo, so sibling sketches share them by reference (also across
+threads); their part of the protocol is identity, not state — each family
+exposes a
 ``fingerprint()`` (the coefficients themselves) that sketches fold into
 their merge-compatibility digests, plus ``to_state()``/``from_state()``
 that round-trip the coefficients exactly, bypassing the RNG.
@@ -344,7 +346,6 @@ class SubsampleHash:
         self._bits = [
             KWiseHash(2, 2, source.child(f"level{j}")) for j in range(levels)
         ]
-        self._level_cache: dict[int, int] = {}
 
     def fingerprint(self) -> tuple:
         return ("subsample", self.levels) + tuple(
@@ -365,7 +366,6 @@ class SubsampleHash:
         sub = cls.__new__(cls)
         sub.levels = int(state["levels"])
         sub._bits = [KWiseHash.from_state(s) for s in state["bits"]]
-        sub._level_cache = {}
         return sub
 
     def bit_hashes(self) -> "list[KWiseHash]":
@@ -375,22 +375,20 @@ class SubsampleHash:
         return list(self._bits)
 
     def level(self, x: int) -> int:
-        """Deepest level item ``x`` survives to (0 = present in base stream)."""
-        depth = self._level_cache.get(x)
-        if depth is None:
-            depth = 0
-            for bit in self._bits:
-                if bit(x) == 1:
-                    depth += 1
-                else:
-                    break
-            if len(self._level_cache) < 4_000_000:
-                self._level_cache[x] = depth
+        """Deepest level item ``x`` survives to (0 = present in base stream).
+        The family holds no memo (sibling sketches share it across threads);
+        :class:`~repro.core.recursive_sketch.RecursiveGSumSketch` memoizes
+        depths per instance."""
+        depth = 0
+        for bit in self._bits:
+            if bit(x) != 1:
+                break
+            depth += 1
         return depth
 
     def levels_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Deepest surviving level for each item in the array; element ``i``
-        equals ``level(xs[i])`` (the cache is bypassed, not populated)."""
+        equals ``level(xs[i])``."""
         arr = np.asarray(xs, dtype=np.int64)
         depths = np.zeros(arr.shape[0], dtype=np.int64)
         alive = np.ones(arr.shape[0], dtype=bool)
