@@ -86,8 +86,9 @@ class AmsF2Sketch(MergeableSketch):
         """Accumulate a pre-aggregated ``(net, sign-matrix)`` pair — the
         fused-plan entry point.  ``net`` must be the float64 net deltas of
         the batch's distinct items and ``signs`` their
-        :attr:`sign_bank` rows; equal bit for bit to :meth:`update_batch`
-        on the underlying batch (same matrix product, and registers are
+        :attr:`sign_bank` rows as ±1 (float64, or int8 that the product
+        promotes exactly); equal bit for bit to :meth:`update_batch` on
+        the underlying batch (same matrix product, and registers are
         integer-valued sums far below 2^53)."""
         self._registers += net @ signs
 

@@ -7,14 +7,17 @@ Proposition 49), and pairwise-independent Bernoulli variables (the g_np
 algorithm of Proposition 54).
 
 All are implemented as random polynomials of degree k-1 over GF(p) with
-p = 2^61 - 1, evaluated with Python integers (exact, no overflow).
+p = 2^31 - 1; the scalar routes evaluate them with Python integers (exact,
+no overflow) and are the oracle for the batched routes.
 
 Batched evaluation: every family also exposes a ``values_batch(xs)`` (and
 sign/level variants) that evaluates the polynomial for a whole ``int64``
-array of items in a handful of numpy operations.  Residues are 31-bit, so
-Horner steps multiply inside ``uint64`` without overflow and the batched
-arithmetic is *exactly* the scalar arithmetic — batch and scalar paths
-agree bit for bit on every item.
+array of items.  All batch routes share one Horner kernel, :func:`_horner`,
+over ``uint64`` with lazy Mersenne reduction: a step folds once, and a
+full reduction runs only every third step and on the last, the bound that
+keeps every product inside ``uint64`` (see its docstring).  Every fold
+preserves the residue mod p and the final reduction is canonical, so batch
+and scalar paths agree bit for bit on every item.
 
 Mergeable-sketch support: hash families are immutable once constructed
 and hold no memo, so sibling sketches share them by reference (also across
@@ -39,31 +42,73 @@ from repro.sketch.codec import (
 )
 from repro.util.rng import RandomSource, as_source
 
-MERSENNE_P = (1 << 61) - 1
 MERSENNE_P31 = (1 << 31) - 1
 
 _U64_P31 = np.uint64(MERSENNE_P31)
 _U64_31 = np.uint64(31)
+#: Elements per :func:`_horner` block (256 KiB of ``uint64``).
+_BLOCK_CELLS = 1 << 15
 
 
-def _mod_p31(x: np.ndarray) -> np.ndarray:
-    """Exact ``x mod (2^31 - 1)`` for uint64 arrays with ``x < 2^62``,
-    via Mersenne folding (``2^31 = 1 mod p``) — two shift-and-add folds
-    plus one conditional subtract, avoiding the hardware integer divide
-    that dominates a ``%`` on the batch hot path.  Agrees with ``%``
-    bit for bit on the whole input range."""
-    x = (x & _U64_P31) + (x >> _U64_31)
-    x = (x & _U64_P31) + (x >> _U64_31)
-    return np.where(x >= _U64_P31, x - _U64_P31, x)
+def _fold(x: np.ndarray, scratch: np.ndarray) -> None:
+    """In place ``x -> (x & p) + (x >> 31)``, which keeps ``x mod p``
+    because ``2^31 = 1 mod p``."""
+    np.right_shift(x, _U64_31, out=scratch)
+    np.bitwise_and(x, _U64_P31, out=x)
+    np.add(x, scratch, out=x)
+
+
+def _horner(coeffs: np.ndarray, arg: np.ndarray) -> np.ndarray:
+    """Evaluate ``count`` polynomials over GF(p), p = 2^31 - 1, at ``N``
+    points: ``coeffs`` is ``uint64[k, count]`` (highest degree first, every
+    entry < p), ``arg`` is ``uint64[N, 1]`` (entries < p); the result is
+    ``uint64[N, count]`` of canonical residues in [0, p).
+
+    Works in place on the output and one scratch array, a block of rows
+    at a time so both stay cache-resident.  Lazy bound: from a canonical
+    (or the initial ``c0 * arg``) value, step one computes
+    ``acc * arg + c < 2^62`` and one fold leaves it < 2^32; step two's
+    value is < 2^63 and one fold leaves it < 1.5 * 2^32; step three's
+    product is < 1.5 * 2^63, still inside ``uint64``, but a fourth could
+    overflow, so every third step (and the last) reduces fully: a second
+    fold leaves at most p + 7 for any ``uint64``, and one conditional
+    subtract of p makes it canonical.  Every fold keeps the residue, so
+    outputs equal the Python-int ``(acc * arg + c) % p`` recurrence of the
+    scalar path bit for bit."""
+    k, count = coeffs.shape
+    out = np.empty((arg.shape[0], count), dtype=np.uint64)
+    if k == 1:
+        out[:] = coeffs[0]
+        return out
+    block = max(1, _BLOCK_CELLS // count)
+    scratch = np.empty((min(block, arg.shape[0]), count), dtype=np.uint64)
+    for lo in range(0, arg.shape[0], block):
+        acc, x = out[lo:lo + block], arg[lo:lo + block]
+        tmp = scratch[: acc.shape[0]]
+        np.multiply(x, coeffs[0], out=acc)
+        for step in range(1, k):
+            if step > 1:
+                np.multiply(acc, x, out=acc)
+            np.add(acc, coeffs[step], out=acc)
+            _fold(acc, tmp)
+            if step == k - 1 or step % 3 == 0:
+                _fold(acc, tmp)
+                # Unsigned wrap: acc - p is huge when acc < p, so the
+                # minimum subtracts p exactly when acc >= p.
+                np.subtract(acc, _U64_P31, out=tmp)
+                np.minimum(acc, tmp, out=acc)
+    return out
 
 
 def _batch_arg(xs: "np.ndarray | Iterable[int]") -> np.ndarray:
-    """Map an item array to the polynomial argument ``(x + 1) mod p`` as
-    ``uint64`` residues (the same argument the scalar evaluators use)."""
+    """Map an item array to the polynomial argument ``(x + 1) mod p`` as a
+    ``uint64[N, 1]`` column of residues (the same argument the scalar
+    evaluators use).  Reducing before the increment keeps ``x + 1`` from
+    wrapping at ``x = 2^63 - 1``."""
     arr = np.asarray(xs, dtype=np.int64)
     if arr.ndim != 1:
         raise ValueError("batched items must be a 1-D array")
-    return ((arr + 1) % MERSENNE_P31).astype(np.uint64)
+    return (((arr % MERSENNE_P31) + 1) % MERSENNE_P31).astype(np.uint64)[:, None]
 
 
 class VectorKWiseHash:
@@ -134,14 +179,9 @@ class VectorKWiseHash:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values for a whole item array: shape ``(len(xs), count)``.
 
-        Row ``i`` equals ``values(xs[i])`` bit for bit — the Horner loop is
-        the same 31-bit arithmetic, broadcast over the batch axis.
+        Row ``i`` equals ``values(xs[i])`` bit for bit (:func:`_horner`).
         """
-        arg = _batch_arg(xs)[:, None]
-        acc = np.zeros((arg.shape[0], self.count), dtype=np.uint64)
-        for row in self._coeffs:
-            acc = _mod_p31(acc * arg + row[None, :])
-        return acc
+        return _horner(self._coeffs, _batch_arg(xs))
 
     def signs_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """+-1 sign matrix of shape ``(len(xs), count)``."""
@@ -162,8 +202,8 @@ class StackedKWiseBank:
     of numpy operations instead of one call per (cell, row).
 
     Column ``c`` of :meth:`values_batch` equals
-    ``hashes[c].values_batch(xs)`` bit for bit: the Horner recurrence is
-    the same 31-bit ``_mod_p31`` arithmetic, broadcast over a second axis.
+    ``hashes[c].values_batch(xs)`` bit for bit: both run :func:`_horner`,
+    which computes each column independently.
     """
 
     def __init__(self, coeffs: np.ndarray, range_size: int):
@@ -208,10 +248,7 @@ class StackedKWiseBank:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values of shape ``(len(xs), count)``; column ``c`` equals
         the c-th stacked hash's ``values_batch(xs)`` bit for bit."""
-        arg = _batch_arg(xs)[:, None]
-        acc = np.zeros((arg.shape[0], self.count), dtype=np.uint64)
-        for row in self._coeffs:
-            acc = _mod_p31(acc * arg + row[None, :])
+        acc = _horner(self._coeffs, _batch_arg(xs))
         return (acc % np.uint64(self.range_size)).astype(np.int64)
 
     def signs_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
@@ -279,14 +316,10 @@ class KWiseHash:
     def values_batch(self, xs: "np.ndarray | Iterable[int]") -> np.ndarray:
         """Hash values for a whole ``int64`` item array at once.
 
-        Element ``i`` equals ``self(xs[i])`` bit for bit: the Horner
-        recurrence runs over 31-bit residues, so ``uint64`` holds every
-        intermediate product exactly.
+        Element ``i`` equals ``self(xs[i])`` bit for bit (:func:`_horner`).
         """
-        arg = _batch_arg(xs)
-        acc = np.zeros(arg.shape[0], dtype=np.uint64)
-        for c in self._coeffs:
-            acc = _mod_p31(acc * arg + np.uint64(c))
+        coeffs = np.array(self._coeffs, dtype=np.uint64)[:, None]
+        acc = _horner(coeffs, _batch_arg(xs))[:, 0]
         return (acc % np.uint64(self.range_size)).astype(np.int64)
 
     def many(self, xs: Iterable[int]) -> np.ndarray:

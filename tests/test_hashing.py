@@ -3,13 +3,19 @@
 import numpy as np
 import pytest
 
+from repro.core.gnp import _Substream
 from repro.sketch.hashing import (
+    MERSENNE_P31 as P,
     BernoulliHash,
     KWiseHash,
     SignHash,
+    StackedKWiseBank,
     SubsampleHash,
     VectorKWiseHash,
+    _batch_arg,
+    _horner,
 )
+from repro.util.rng import as_source
 
 
 class TestKWiseHash:
@@ -129,3 +135,114 @@ class TestBernoulliHash:
         b = BernoulliHash(seed=2)
         total = sum(b(x) for x in range(4000))
         assert 1700 < total < 2300
+
+
+def _reference(column, x: int) -> int:
+    """Pure Python-int Horner over GF(p) at the argument ``(x + 1) mod p``."""
+    acc, arg = 0, (x + 1) % P
+    for c in column:
+        acc = (acc * arg + int(c)) % P
+    return acc
+
+
+#: Items whose polynomial arguments are p - 1 and 0, then random ones.
+_KERNEL_ITEMS = [P - 2, -1, P - 1] + np.random.default_rng(11).integers(
+    -(1 << 62), 1 << 62, size=29
+).tolist()
+
+
+class TestHornerKernel:
+    """Every batch route equals the Python-int Horner, element for element,
+    at the lazy-reduction worst case (all coefficients and the argument at
+    p - 1) and on mixed random planes."""
+
+    @pytest.mark.parametrize("independence", range(1, 9))
+    @pytest.mark.parametrize("fill", ["max", "mixed"])
+    @pytest.mark.parametrize("range_size", [2, 7, 1 << 14])
+    def test_batch_routes_match_python_int_reference(self, independence, fill, range_size):
+        count = 6
+        rng = np.random.default_rng(independence * 31 + range_size)
+        if fill == "max":
+            plane = np.full((independence, count), P - 1, dtype=np.uint64)
+        else:
+            plane = rng.integers(0, P, size=(independence, count), dtype=np.uint64)
+            plane[:, 0] = P - 1
+            plane[:, 1] = 0
+        xs = np.array(_KERNEL_ITEMS, dtype=np.int64)
+        want = np.array(
+            [[_reference(plane[:, c], x) for c in range(count)] for x in _KERNEL_ITEMS],
+            dtype=np.uint64,
+        )
+
+        assert np.array_equal(_horner(plane, _batch_arg(xs)), want)
+
+        bank = StackedKWiseBank(plane, range_size)
+        assert np.array_equal(bank.values_batch(xs), (want % range_size).astype(np.int64))
+        if range_size == 2:
+            assert np.array_equal(bank.signs_batch(xs), np.where(want % 2 == 1, 1.0, -1.0))
+
+        vec = VectorKWiseHash(count, independence, seed=0)
+        vec._coeffs = plane
+        assert np.array_equal(vec.values_batch(xs), want)
+        assert np.array_equal(
+            vec.signs_batch(xs), (want & np.uint64(1)).astype(np.float64) * 2.0 - 1.0
+        )
+
+        for c in range(count):
+            h = KWiseHash(range_size, independence, seed=0)
+            h._coeffs = [int(v) for v in plane[:, c]]
+            assert np.array_equal(
+                h.values_batch(xs), (want[:, c] % range_size).astype(np.int64)
+            )
+
+
+class TestExtremeItems:
+    """Batch routes agree with the scalar oracle at the ends of the int64
+    item range, where ``x + 1`` would wrap before the reduction."""
+
+    ITEMS = [(1 << 63) - 1, -1, -(1 << 63), P - 2, P - 1]
+
+    def test_reported_divergence(self):
+        h = KWiseHash(2**14, 2, seed=3)
+        assert h.values_batch(np.array([(1 << 63) - 1]))[0] == h((1 << 63) - 1) == 14591
+
+    def test_every_batch_route(self):
+        xs = np.array(self.ITEMS, dtype=np.int64)
+        for k in range(1, 6):
+            h = KWiseHash(1 << 14, k, seed=k)
+            assert h.values_batch(xs).tolist() == [h(x) for x in self.ITEMS]
+            assert h.many(self.ITEMS).tolist() == [h(x) for x in self.ITEMS]
+        sign = SignHash(4, seed=5)
+        assert sign.values_batch(xs).tolist() == [float(sign(x)) for x in self.ITEMS]
+        bern = BernoulliHash(seed=6)
+        assert bern.values_batch(xs).tolist() == [bern(x) for x in self.ITEMS]
+        sub = SubsampleHash(6, seed=7)
+        assert sub.levels_batch(xs).tolist() == [sub.level(x) for x in self.ITEMS]
+        for level in range(7):
+            assert sub.survives_batch(xs, level).tolist() == [
+                sub.survives(x, level) for x in self.ITEMS
+            ]
+        vec = VectorKWiseHash(40, 4, seed=8)
+        for row, x in zip(vec.values_batch(xs), self.ITEMS):
+            assert np.array_equal(row, vec.values(x))
+        for row, x in zip(vec.signs_batch(xs), self.ITEMS):
+            assert np.array_equal(row, vec.signs(x))
+        source = as_source(9, "extreme")
+        hashes = [KWiseHash(7, 4, source.child(str(i))) for i in range(5)]
+        values = StackedKWiseBank.from_hashes(hashes).values_batch(xs)
+        assert values.tolist() == [[h(x) for h in hashes] for x in self.ITEMS]
+        signs = [SignHash(4, source.child(f"s{i}")) for i in range(5)]
+        stacked = StackedKWiseBank.from_sign_hashes(signs).signs_batch(xs)
+        assert stacked.tolist() == [[float(s(x)) for s in signs] for x in self.ITEMS]
+
+    def test_gnp_trial_memberships(self):
+        batch = _Substream(8, 5, as_source(10, "gnp"))
+        scalar = _Substream(8, 5, as_source(10, "gnp"))
+        deltas = [3, -1, 2, 5, -4]
+        batch.update_batch(
+            np.array(self.ITEMS, dtype=np.int64), np.array(deltas, dtype=np.int64)
+        )
+        for x, d in zip(self.ITEMS, deltas):
+            scalar.update(x, d)
+        assert batch.trial_counters == scalar.trial_counters
+        assert batch.bit_counters == scalar.bit_counters

@@ -285,3 +285,99 @@ class TestFallbacks:
         _feed(revived_f, more_i, more_d)
         _feed(revived_l, more_i, more_d)
         _assert_twin(revived_f, revived_l)
+
+
+class TestAppendOnlyMemo:
+    """The per-cell memo serves exactly what a fresh bank evaluation would,
+    across repeated items, a cap crossed mid-chunk, and a rebuild that
+    adopts the memo; inserts below capacity write in place."""
+
+    @staticmethod
+    def _check_every_lookup(monkeypatch) -> list:
+        """Wrap ``_PlaneCell.lookup`` so every served (keys, signs,
+        ams_rows) is compared with a fresh ``_evaluate`` and the memo's
+        index invariants are checked; returns a log of
+        ``(stored_before, stored_after, misses)`` per call."""
+        original = ingest_plan._PlaneCell.lookup
+        log = []
+
+        def checked(cell, su):
+            before = cell.items.shape[0]
+            misses = np.setdiff1d(su, cell.items).shape[0]
+            served = original(cell, su)
+            for got, want in zip(served, cell._evaluate(su)):
+                if want is None:
+                    assert got is None
+                else:
+                    assert got.dtype == want.dtype
+                    assert np.array_equal(got, want)
+            stored = cell.items.shape[0]
+            assert stored <= ingest_plan.CACHE_ITEMS_LIMIT
+            assert np.all(np.diff(cell.items) > 0)
+            assert np.array_equal(np.sort(cell.slots), np.arange(stored))
+            for got, want in zip(cell._gather(cell.slots), cell._evaluate(cell.items)):
+                assert want is None or np.array_equal(got, want)
+            log.append((before, stored, misses))
+            return served
+
+        monkeypatch.setattr(ingest_plan._PlaneCell, "lookup", checked)
+        return log
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_served_rows_equal_fresh_evaluation(self, monkeypatch, seed):
+        monkeypatch.setattr(ingest_plan, "CACHE_ITEMS_LIMIT", 24)
+        log = self._check_every_lookup(monkeypatch)
+        rng = np.random.default_rng(seed)
+        fused, legacy = _pair(60 + seed)
+        shard_f, shard_l = fused.spawn_sibling(), legacy.spawn_sibling()
+        items, deltas = _stream(70 + seed, size=600)
+        cuts = np.sort(rng.choice(np.arange(1, 600), size=14, replace=False))
+        chunks = list(zip(np.r_[0, cuts], np.r_[cuts, 600]))
+        for lo, hi in chunks[:8]:
+            target = (fused, legacy) if rng.random() < 0.5 else (shard_f, shard_l)
+            for est in target:
+                est.update_batch(items[lo:hi], deltas[lo:hi])
+        # The cap is crossed mid-chunk: a chunk with hits and misses that
+        # would overflow it is served without storing its misses.
+        assert any(b and m and b + m > 24 and a == b for b, a, m in log)
+
+        old = fused._ingest_plan
+        fused.merge(shard_f)
+        legacy.merge(shard_l)
+        fused._ingest_plan = ingest_plan.build_ingest_plan(fused._sketches, previous=old)
+        for new_cell, old_cell in zip(fused._ingest_plan._flat_cells, old._flat_cells):
+            assert new_cell.keys is old_cell.keys and new_cell.items is old_cell.items
+        for lo, hi in chunks[8:]:
+            for est in (fused, legacy):
+                est.update_batch(items[lo:hi], deltas[lo:hi])
+        _assert_twin(fused, legacy)
+
+    def test_insert_below_capacity_writes_in_place(self):
+        est = _gsum(66)
+        est.update_batch(np.array([1], dtype=np.int64), np.array([1], dtype=np.int64))
+        cell = est._ingest_plan._flat_cells[0]
+        cell.lookup(np.arange(100, 110, dtype=np.int64))
+        assert cell.keys.shape[0] == 11  # exact fit on growth: 1 + 10
+        cell.lookup(np.arange(200, 205, dtype=np.int64))
+        assert cell.keys.shape[0] == 22  # doubled
+        arrays = (cell.keys, cell.signs, cell.ams_rows)
+        pointers = [a.__array_interface__["data"][0] for a in arrays]
+        cell.lookup(np.array([3, 100, 300, 301, 302], dtype=np.int64))
+        assert cell.items.shape[0] == 20
+        for before, after, pointer in zip(arrays, (cell.keys, cell.signs, cell.ams_rows), pointers):
+            assert after is before
+            assert after.__array_interface__["data"][0] == pointer
+        assert cell.signs.dtype == np.int8 and cell.ams_rows.dtype == np.int8
+
+    def test_fused_legacy_scalar_at_default_cap(self):
+        assert ingest_plan.CACHE_ITEMS_LIMIT == 1 << 15
+        fused, legacy = _pair(67)
+        scalar = _gsum(67, fused=False)
+        items, deltas = _stream(20, size=500)
+        _feed(fused, items, deltas, chunk=37)
+        _feed(legacy, items, deltas, chunk=64)
+        for item, delta in zip(items.tolist(), deltas.tolist()):
+            scalar.update(item, delta)
+        _assert_twin(fused, legacy)
+        _assert_twin(fused, scalar)
+        assert fused.estimate() == legacy.estimate() == scalar.estimate()
